@@ -1,4 +1,4 @@
-// Environment-variable toggles shared by the A/B engine dispatchers.
+// Environment-variable toggles (STORESCHED_AUDIT, core/audit.hpp).
 #pragma once
 
 #include <cstdlib>
@@ -6,8 +6,7 @@
 namespace storesched {
 
 /// True iff the environment variable `name` is set to a non-empty value
-/// other than "0" -- the convention shared by STORESCHED_RLS_REFERENCE
-/// and STORESCHED_PARETO_REFERENCE (rls_schedule / enumerate_pareto).
+/// other than "0".
 inline bool env_flag_set(const char* name) {
   const char* value = std::getenv(name);
   return value != nullptr && value[0] != '\0' &&

@@ -5,10 +5,11 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "common/json_reader.hpp"
 
 namespace storesched {
 
@@ -206,83 +207,108 @@ std::string line_prefix(std::size_t line_number) {
   return line_number > 0 ? "line " + std::to_string(line_number) + ": " : "";
 }
 
-/// Minimal cursor over the fixed instance-line schema. Not a general JSON
-/// parser: objects of known keys, arrays of integer pairs, nothing else.
-struct JsonCursor {
-  const std::string& text;
-  std::size_t line_number;  ///< 1-based position in the stream; 0 = unknown
-  std::size_t pos = 0;
+/// Instance integers: an optional '-' and a digit run (leading zeros
+/// allowed) that fits in 64 bits.
+std::int64_t read_int(JsonReader& r) {
+  r.skip_ws();
+  const std::size_t begin = r.pos();
+  r.take('-');
+  if (r.digits().empty()) r.fail("expected integer");
+  std::int64_t value = 0;
+  if (!r.parse_since(begin, value)) r.fail_at(begin, "integer out of range");
+  return value;
+}
 
-  [[noreturn]] void fail(const std::string& what) const {
+/// [[a,b],[c,d],...], possibly empty; add(a, b) per pair.
+template <class Add>
+void read_pairs(JsonReader& r, Add add) {
+  r.expect('[');
+  if (r.consume(']')) return;
+  do {
+    r.expect('[');
+    const std::int64_t a = read_int(r);
+    r.expect(',');
+    const std::int64_t b = read_int(r);
+    r.expect(']');
+    add(a, b);
+  } while (r.consume(','));
+  r.expect(']');
+}
+
+/// The instance object at the start of `text`. A whole line admits nothing
+/// but whitespace after it; otherwise `consumed` reports where it ended.
+Instance read_instance(std::string_view text, std::size_t line_number,
+                       bool whole_line, std::size_t& consumed) {
+  enum Key : std::size_t { kM, kTasks, kEdges };
+  static constexpr std::string_view kKeys[] = {"m", "tasks", "edges"};
+  JsonReader r(text, /*whitespace=*/true);
+  unsigned seen = 0;
+  int m = 0;
+  std::vector<Task> tasks;
+  std::vector<std::pair<std::int64_t, std::int64_t>> edges;
+  try {
+    r.expect('{');
+    if (!r.consume('}')) {
+      do {
+        const std::string_view key = r.bare_key();
+        r.expect(':');
+        switch (static_cast<Key>(r.claim(kKeys, key, seen))) {
+          case kM: {
+            const std::int64_t v = read_int(r);
+            if (v < 1 || v > std::numeric_limits<int>::max()) {
+              r.fail("m out of range");
+            }
+            m = static_cast<int>(v);
+            break;
+          }
+          case kTasks:
+            read_pairs(r, [&](std::int64_t p, std::int64_t s) {
+              tasks.push_back({p, s});
+            });
+            break;
+          case kEdges:
+            read_pairs(r, [&](std::int64_t u, std::int64_t v) {
+              edges.emplace_back(u, v);
+            });
+            break;
+        }
+      } while (r.consume(','));
+      r.expect('}');
+    }
+    if (whole_line) {
+      r.skip_ws();
+      if (!r.at_end()) r.fail("trailing garbage");
+    }
+    if ((seen & 1u << kM) == 0) r.fail("missing \"m\"");
+    if ((seen & 1u << kTasks) == 0) r.fail("missing \"tasks\"");
+  } catch (const JsonSyntaxError& e) {
     throw std::runtime_error("instance_from_jsonl: " +
-                             line_prefix(line_number) + what + " at byte " +
-                             std::to_string(pos));
+                             line_prefix(line_number) + e.what +
+                             " at byte " + std::to_string(e.offset));
   }
+  consumed = r.pos();
 
-  void skip_ws() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
-                                 text[pos] == '\r' || text[pos] == '\n')) {
-      ++pos;
+  const auto n = static_cast<std::int64_t>(tasks.size());
+  try {
+    if ((seen & 1u << kEdges) == 0) return Instance(std::move(tasks), m);
+    Dag dag(tasks.size());
+    for (const auto& [u, v] : edges) {
+      if (u < 0 || u >= n || v < 0 || v >= n) {
+        throw std::invalid_argument("edge [" + std::to_string(u) + "," +
+                                    std::to_string(v) +
+                                    "] references a task outside [0, " +
+                                    std::to_string(n) + ")");
+      }
+      dag.add_edge(static_cast<TaskId>(u), static_cast<TaskId>(v));
     }
+    return Instance(std::move(tasks), m, std::move(dag));
+  } catch (const std::invalid_argument& e) {
+    // Instance/Dag validation reports as std::invalid_argument; the wire
+    // contract is one exception type for any malformed line.
+    throw std::runtime_error("instance_from_jsonl: " +
+                             line_prefix(line_number) + e.what());
   }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) fail(std::string("expected '") + c + "'");
-  }
-
-  std::int64_t parse_int() {
-    skip_ws();
-    const std::size_t begin = pos;
-    if (pos < text.size() && text[pos] == '-') ++pos;
-    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
-    if (pos == begin || (pos == begin + 1 && text[begin] == '-')) {
-      fail("expected integer");
-    }
-    try {
-      return std::stoll(text.substr(begin, pos - begin));
-    } catch (const std::exception&) {
-      pos = begin;
-      fail("integer out of range");
-    }
-  }
-
-  std::string parse_key() {
-    expect('"');
-    const std::size_t begin = pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') fail("escapes are not allowed in keys");
-      ++pos;
-    }
-    if (pos == text.size()) fail("unterminated key");
-    return text.substr(begin, pos++ - begin);
-  }
-
-  /// [[a,b],[c,d],...] -> flat pair list. May be empty.
-  std::vector<std::pair<std::int64_t, std::int64_t>> parse_pairs() {
-    std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
-    expect('[');
-    if (consume(']')) return pairs;
-    do {
-      expect('[');
-      const std::int64_t a = parse_int();
-      expect(',');
-      const std::int64_t b = parse_int();
-      expect(']');
-      pairs.emplace_back(a, b);
-    } while (consume(','));
-    expect(']');
-    return pairs;
-  }
-};
+}
 
 }  // namespace
 
@@ -301,60 +327,13 @@ Instance instance_from_jsonl(const std::string& line,
         "input is the binary wire format (magic \"STSCHDB1\"), not JSONL -- "
         "use --format=binary (or auto-detection) instead");
   }
-  JsonCursor cur{line, line_number};
-  std::optional<int> m;
-  std::optional<std::vector<std::pair<std::int64_t, std::int64_t>>> task_pairs;
-  std::optional<std::vector<std::pair<std::int64_t, std::int64_t>>> edge_pairs;
+  std::size_t consumed = 0;
+  return read_instance(line, line_number, /*whole_line=*/true, consumed);
+}
 
-  cur.expect('{');
-  if (!cur.consume('}')) {
-    do {
-      const std::string key = cur.parse_key();
-      cur.expect(':');
-      if (key == "m") {
-        const std::int64_t v = cur.parse_int();
-        if (v < 1 || v > std::numeric_limits<int>::max()) {
-          cur.fail("m out of range");
-        }
-        m = static_cast<int>(v);
-      } else if (key == "tasks") {
-        task_pairs = cur.parse_pairs();
-      } else if (key == "edges") {
-        edge_pairs = cur.parse_pairs();
-      } else {
-        cur.fail("unknown key \"" + key + "\"");
-      }
-    } while (cur.consume(','));
-    cur.expect('}');
-  }
-  cur.skip_ws();
-  if (cur.pos != line.size()) cur.fail("trailing garbage");
-  if (!m) cur.fail("missing \"m\"");
-  if (!task_pairs) cur.fail("missing \"tasks\"");
-
-  std::vector<Task> tasks;
-  tasks.reserve(task_pairs->size());
-  for (const auto& [p, s] : *task_pairs) tasks.push_back({p, s});
-  const auto n = static_cast<std::int64_t>(tasks.size());
-  try {
-    if (!edge_pairs) return Instance(std::move(tasks), *m);
-    Dag dag(tasks.size());
-    for (const auto& [u, v] : *edge_pairs) {
-      if (u < 0 || u >= n || v < 0 || v >= n) {
-        throw std::invalid_argument("edge [" + std::to_string(u) + "," +
-                                    std::to_string(v) +
-                                    "] references a task outside [0, " +
-                                    std::to_string(n) + ")");
-      }
-      dag.add_edge(static_cast<TaskId>(u), static_cast<TaskId>(v));
-    }
-    return Instance(std::move(tasks), *m, std::move(dag));
-  } catch (const std::invalid_argument& e) {
-    // Instance/Dag validation reports as std::invalid_argument; the wire
-    // contract is one exception type for any malformed line.
-    throw std::runtime_error("instance_from_jsonl: " +
-                             line_prefix(line_number) + e.what());
-  }
+Instance instance_from_json_prefix(std::string_view text,
+                                   std::size_t& consumed) {
+  return read_instance(text, 0, /*whole_line=*/false, consumed);
 }
 
 std::string fmt(double v, int decimals) {

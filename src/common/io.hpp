@@ -73,13 +73,21 @@ std::string instance_to_jsonl(const Instance& inst);
 /// Parses an instance_to_jsonl() object. Whitespace between tokens and any
 /// key order are accepted; "m" and "tasks" are required. Throws
 /// std::runtime_error naming the offending token on malformed input,
-/// unknown keys, or an invalid instance (bad m, negative weights, cyclic
-/// or out-of-range edges). Pass the 1-based `line_number` of the line in
-/// its stream so the error also names it -- a bad line deep in a
-/// million-line JSONL stream is unlocatable from the byte offset alone
-/// (0 = unknown, omit the prefix).
+/// unknown or duplicate keys, or an invalid instance (bad m, negative
+/// weights, cyclic or out-of-range edges). Pass the 1-based `line_number`
+/// of the line in its stream so the error also names it -- a bad line deep
+/// in a million-line JSONL stream is unlocatable from the byte offset
+/// alone (0 = unknown, omit the prefix).
 Instance instance_from_jsonl(const std::string& line,
                              std::size_t line_number = 0);
+
+/// instance_from_jsonl() for an instance object embedded in a larger JSON
+/// text (a serve request's "instance" value): parses the object at the
+/// start of `text`, leaves what follows it to the caller, and stores the
+/// bytes read in `consumed`. Errors are instance_from_jsonl()'s, with byte
+/// offsets counted from the start of `text`.
+Instance instance_from_json_prefix(std::string_view text,
+                                   std::size_t& consumed);
 
 /// Formats a double with the given number of decimals (fixed notation).
 std::string fmt(double v, int decimals = 3);

@@ -23,8 +23,8 @@
 //   * exact-front results (pareto extras): a strict staircase with every
 //     representative schedule reproducing its front point.
 //
-// Enabled in production via the environment toggle STORESCHED_AUDIT (same
-// convention as STORESCHED_RLS_REFERENCE): when set, the non-virtual
+// Enabled in production via the environment toggle STORESCHED_AUDIT (set to
+// a non-empty value other than "0"): when set, the non-virtual
 // Solver::solve() envelope audits every result of every family -- solver,
 // stream, bench, CLI -- and throws std::logic_error on the first violating
 // result. Debug CI runs the whole suite with STORESCHED_AUDIT=1.

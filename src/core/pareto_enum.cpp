@@ -3,7 +3,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "common/env.hpp"
 #include "core/pareto_bb.hpp"
 
 namespace storesched {
@@ -124,9 +123,6 @@ ParetoEnumResult enumerate_pareto_reference(const Instance& inst,
 }
 
 ParetoEnumResult enumerate_pareto(const Instance& inst, std::uint64_t limit) {
-  if (env_flag_set("STORESCHED_PARETO_REFERENCE")) {
-    return enumerate_pareto_reference(inst, limit);
-  }
   return enumerate_pareto_bb(inst, limit);
 }
 

@@ -13,9 +13,8 @@
 //   * enumerate_pareto_reference -- the seed's brute force: every
 //     assignment up to processor renaming (a task may only open the
 //     lowest-indexed empty processor). Kept as the equivalence oracle.
-// enumerate_pareto() routes to the branch and bound unless the environment
-// variable STORESCHED_PARETO_REFERENCE is set to a non-empty value other
-// than "0" (the same A/B convention as STORESCHED_RLS_REFERENCE).
+// enumerate_pareto() always runs the branch and bound; call
+// enumerate_pareto_reference() directly to A/B the two.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +50,7 @@ struct ParetoEnumResult {
 /// Enumerates the exact Pareto front of an independent-task instance.
 /// Throws std::logic_error for precedence instances and std::runtime_error
 /// if more than `limit` units of work would be done (see enumerated above;
-/// guards against accidental blowups). Dispatches to
-/// enumerate_pareto_bb() unless STORESCHED_PARETO_REFERENCE is set.
+/// guards against accidental blowups). Runs enumerate_pareto_bb().
 ParetoEnumResult enumerate_pareto(
     const Instance& inst, std::uint64_t limit = kParetoEnumDefaultLimit);
 

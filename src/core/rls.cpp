@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/env.hpp"
 #include "core/rls_engine.hpp"
 
 namespace storesched {
@@ -357,9 +356,6 @@ RlsResult rls_schedule_fast(const Instance& inst, const Fraction& delta,
 
 RlsResult rls_schedule(const Instance& inst, const Fraction& delta,
                        PriorityPolicy tie_break) {
-  if (env_flag_set("STORESCHED_RLS_REFERENCE")) {
-    return rls_schedule_reference(inst, delta, tie_break);
-  }
   return rls_schedule_fast(inst, delta, tie_break);
 }
 

@@ -34,8 +34,8 @@
 //     most). See rls_engine.hpp and docs/ALGORITHMS.md ("The DAG kernel").
 //   * rls_schedule_reference -- the paper-faithful O(n^2 m) rescan with
 //     exact Fraction arithmetic in the inner loop (the equivalence oracle).
-// rls_schedule() routes to the fast engine unless the environment variable
-// STORESCHED_RLS_REFERENCE is set to a non-empty value other than "0".
+// rls_schedule() always runs the fast engine; call rls_schedule_reference()
+// directly to A/B the two.
 #pragma once
 
 #include <optional>
@@ -77,8 +77,7 @@ struct RlsResult {
 ///                   infeasible, and SolveResult-level consumers (see
 ///                   core/solver.hpp) report a guarantee-zone diagnostic
 ///                   instead of ratios.
-/// Deterministic for a fixed tie-break policy. Dispatches to
-/// rls_schedule_fast() unless STORESCHED_RLS_REFERENCE is set (see above).
+/// Deterministic for a fixed tie-break policy. Runs rls_schedule_fast().
 RlsResult rls_schedule(const Instance& inst, const Fraction& delta,
                        PriorityPolicy tie_break = PriorityPolicy::kInputOrder);
 

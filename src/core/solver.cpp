@@ -494,9 +494,8 @@ class ParetoExactSolver final : public Solver {
 
   SolveResult do_solve(const Instance& inst,
                        const SolveOptions& options) const override {
-    // enumerate_pareto honors STORESCHED_PARETO_REFERENCE (A/B debugging)
-    // and throws std::logic_error on precedence instances, honoring
-    // supports_precedence = false.
+    // enumerate_pareto throws std::logic_error on precedence instances,
+    // honoring supports_precedence = false.
     ParetoEnumResult run = enumerate_pareto(inst, limit_);
     SolveResult result;
     result.feasible = true;

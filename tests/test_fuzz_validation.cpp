@@ -22,6 +22,9 @@
 namespace storesched {
 namespace {
 
+using testing::expect_rejects;
+using testing::RejectCase;
+
 /// Applies one random corruption to a timed schedule. Returns a label for
 /// diagnostics.
 std::string corrupt(Schedule& sched, const Instance& inst, Rng& rng) {
@@ -162,22 +165,79 @@ TEST(FuzzRegression, MaxWeightBoundaryStillAccepted) {
   EXPECT_EQ(instance_to_jsonl(instance_from_jsonl(wire, 1)), wire);
 }
 
+TEST(FuzzRegression, InstanceIntegersTakeSignsAndLeadingZeros) {
+  const Instance inst =
+      instance_from_jsonl("{\"m\":007,\n\"tasks\":[[010,-0]]}", 1);
+  EXPECT_EQ(inst.m(), 7);
+  EXPECT_EQ(inst.task(0), (Task{10, 0}));
+}
+
 TEST(FuzzRegression, RejectionsAreAlwaysRuntimeErrors) {
   // The fuzz contract: malformed bytes throw std::runtime_error, never any
-  // other type (and never crash). Pin one representative per corpus reject_*
-  // entry.
-  const char* rejects[] = {
-      R"({"m":0,"tasks":[[1,1]]})",                    // reject_bad_m
-      R"({"m":2,"tasks":[[1,1],[1,-3]]})",            // reject_negative_weight
-      R"({"m":2,"tasks":[[1,1],[2,2]],"edges":[[0,1],[1,0]]})",  // cycle
-      R"({"m":2,"tasks":[[99999999999999999999,1]]})",  // int overflow
-      R"({"m":2,"tasks":[[1,1]],"bogus":3})",         // reject_unknown_key
-      R"({"m":2,"tasks":[[1,1]]} trailing)",          // reject_trailing
-      R"(not json at all)",                           // reject_not_json
+  // other type (and never crash), with a message naming the fault and its
+  // byte offset. Pins one representative per corpus reject_* entry plus
+  // the lexer's edges: leading zeros, newlines as whitespace, escapes in
+  // keys, signs, range limits, truncation.
+  const RejectCase rejects[] = {
+      {"{\"m\":0,\"tasks\":[[1,1]]}",
+       "instance_from_jsonl: line 1: m out of range at byte 6"},
+      {"{\"m\":2,\"tasks\":[[1,1],[1,-3]]}",
+       "instance_from_jsonl: line 1: Instance: negative task weight"},
+      {"{\"m\":2,\"tasks\":[[1,1],[2,2]],\"edges\":[[0,1],[1,0]]}",
+       "instance_from_jsonl: line 1: Instance: precedence graph has a cycle"},
+      {"{\"m\":2,\"tasks\":[[99999999999999999999,1]]}",
+       "instance_from_jsonl: line 1: integer out of range at byte 17"},
+      {"{\"m\":2,\"tasks\":[[1,1]],\"bogus\":3}",
+       "instance_from_jsonl: line 1: unknown key \"bogus\" at byte 31"},
+      {"{\"m\":2,\"tasks\":[[1,1]]} trailing",
+       "instance_from_jsonl: line 1: trailing garbage at byte 24"},
+      {"not json at all",
+       "instance_from_jsonl: line 1: expected '{' at byte 0"},
+      {"",
+       "instance_from_jsonl: line 1: expected '{' at byte 0"},
+      {"{\"m\":00,\"tasks\":[[1,1]]}",
+       "instance_from_jsonl: line 1: m out of range at byte 7"},
+      {"{\"m\":2,\"tasks\":[[007,-0],[1,x]]}",
+       "instance_from_jsonl: line 1: expected integer at byte 28"},
+      {"{\"m\":2,\n\"tasks\":[[1,1],\n[1,]]}",
+       "instance_from_jsonl: line 1: expected integer at byte 27"},
+      {"{\"m\":2,\"tasks\":[[1,1]]}\n\n x",
+       "instance_from_jsonl: line 1: trailing garbage at byte 26"},
+      {"{\"\\u006d\":2,\"tasks\":[[1,1]]}",
+       "instance_from_jsonl: line 1: escapes are not allowed in keys at byte 2"},
+      {"{\"m\":-,\"tasks\":[[1,1]]}",
+       "instance_from_jsonl: line 1: expected integer at byte 6"},
+      {"{\"m\":- 1,\"tasks\":[[1,1]]}",
+       "instance_from_jsonl: line 1: expected integer at byte 6"},
+      {"{\"m\":2147483648,\"tasks\":[[1,1]]}",
+       "instance_from_jsonl: line 1: m out of range at byte 15"},
+      {"{\"m\":-9223372036854775809,\"tasks\":[[1,1]]}",
+       "instance_from_jsonl: line 1: integer out of range at byte 5"},
+      {"{\"m\":2,\"tasks\":[[1,1]]",
+       "instance_from_jsonl: line 1: expected '}' at byte 22"},
+      {"{\"m",
+       "instance_from_jsonl: line 1: unterminated key at byte 3"},
+      {"{\"m\":2}",
+       "instance_from_jsonl: line 1: missing \"tasks\" at byte 7"},
+      {"{\"tasks\":[[1,1]]}  ",
+       "instance_from_jsonl: line 1: missing \"m\" at byte 19"},
+      {"{\"m\":2,\"tasks\":[[1,1]],\"edges\":[[0,5]]}",
+       "instance_from_jsonl: line 1: edge [0,5] references a task outside [0, 1)"},
+      {"{\"m\": 2,\"x\": 1}",
+       "instance_from_jsonl: line 1: unknown key \"x\" at byte 12"},
+      {"{\"m\":2 \"tasks\":[]}",
+       "instance_from_jsonl: line 1: expected '}' at byte 7"},
+      {"{\"m\":2,\"tasks\":[[1 1]]}",
+       "instance_from_jsonl: line 1: expected ',' at byte 19"},
+      {"STSCHDB1rest",
+       "instance_from_jsonl: line 1: input is the binary wire format (magic \"STSCHDB1\"), not JSONL -- use --format=binary (or auto-detection) instead"},
+      {"{\"m\":1,\"tasks\":[[1,1]],\"m\":2}",
+       "instance_from_jsonl: line 1: duplicate key \"m\" at byte 27"},
+      {"{\"m\":1,\"tasks\":[[1,1]],\"tasks\":[]}",
+       "instance_from_jsonl: line 1: duplicate key \"tasks\" at byte 31"},
   };
-  for (const char* line : rejects) {
-    EXPECT_THROW(instance_from_jsonl(line, 1), std::runtime_error) << line;
-  }
+  expect_rejects([](const std::string& line) { instance_from_jsonl(line, 1); },
+                 rejects);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,33 +280,77 @@ TEST(ErrorRecordWire, AcceptsAnyKeyOrder) {
 }
 
 TEST(ErrorRecordWire, RejectionsAreAlwaysRuntimeErrors) {
-  const char* rejects[] = {
-      "",                                                          // empty
-      R"({"index":1,"error":true,"category":"oops","attempts":1,"what":"x"})",
-      R"({"index":1,"error":false,"category":"solve","attempts":1,"what":"x"})",
-      R"({"index":1,"error":true,"category":"solve","what":"x"})",  // no attempts
-      R"({"error":true,"category":"solve","attempts":1,"what":"x"})",  // no index
-      R"({"index":1,"error":true,"category":"solve","attempts":0,"what":"x"})",
-      R"({"index":1,"error":true,"category":"solve","attempts":1000001,"what":"x"})",
-      R"({"index":01,"error":true,"category":"solve","attempts":1,"what":"x"})",
-      R"({"index":1,"error":true,"category":"solve","attempts":1,"attempts":2,"what":"x"})",
-      R"({"index":1,"error":true,"category":"solve","attempts":1,"what":"x","zap":1})",
-      R"({"index":1,"error":true,"category":"solve","attempts":1,"what":"x"} junk)",
-      R"({"index":1,"error":true,"category":"solve","attempts":1,"what":"\q"})",
-      R"({"index":1,"error":true,"category":"solve","attempts":1,"what":"\u00ff"})",
-      R"({"index":1,"error":true,"category":"solve","attempts":1,"what":"open)",
-      R"({"index":1,"error":true,"category":"solve","line":0,"attempts":1,"what":"x"})",
-      R"({ "index":1,"error":true,"category":"solve","attempts":1,"what":"x"})",
+  // Exactly the emitted grammar: no whitespace (not even a trailing
+  // newline), no leading zeros, no sign, at most 18 digits; keys may be
+  // escaped like any JSON string but still must be known and unique.
+  const RejectCase rejects[] = {
+      {"",
+       "stream error record: expected '{' (at byte 0)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"oops\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: unknown category \"oops\" (at byte 41)"},
+      {"{\"index\":1,\"error\":false,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: \"error\" must be true (at byte 19)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"what\":\"x\"}",
+       "stream error record: missing \"attempts\" (at byte 54)"},
+      {"{\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: missing \"index\" (at byte 57)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":0,\"what\":\"x\"}",
+       "stream error record: \"attempts\" outside [1, 1000000] (at byte 55)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1000001,\"what\":\"x\"}",
+       "stream error record: \"attempts\" outside [1, 1000000] (at byte 61)"},
+      {"{\"index\":01,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: leading zero in number (at byte 11)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"attempts\":2,\"what\":\"x\"}",
+       "stream error record: duplicate key \"attempts\" (at byte 67)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\",\"zap\":1}",
+       "stream error record: unknown key \"zap\" (at byte 73)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"} junk",
+       "stream error record: trailing bytes after the record (at byte 67)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"\\q\"}",
+       "stream error record: unknown escape (at byte 66)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"\\u00ff\"}",
+       "stream error record: \\u escape outside ASCII (at byte 70)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"open",
+       "stream error record: unterminated string (at byte 68)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"line\":0,\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: \"line\" must be >= 1 when present (at byte 51)"},
+      {"{ \"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: expected '\"' (at byte 1)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"\x07""\"}",
+       "stream error record: raw control character in string (at byte 65)"},
+      {"{}",
+       "stream error record: expected '\"' (at byte 1)"},
+      {"{\"index\":00,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: leading zero in number (at byte 11)"},
+      {"{\"index\":1,\"line\":007,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: leading zero in number (at byte 21)"},
+      {"{\"index\":1234567890123456789,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: number too large (at byte 28)"},
+      {"{\"index\":-1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: expected a number (at byte 9)"},
+      {"{\"index\":1,\n\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: expected '\"' (at byte 11)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}\n",
+       "stream error record: trailing bytes after the record (at byte 67)"},
+      {"{\"\\u0069ndex\":1,\"index\":2,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: duplicate key \"index\" (at byte 24)"},
+      {"{\"\\u00e9\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: \\u escape outside ASCII (at byte 8)"},
+      {"{\"ind\\ex\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: unknown escape (at byte 7)"},
+      {"{\"index\":1,\"error\":tru,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\"}",
+       "stream error record: \"error\" must be true (at byte 19)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"\\u00\"",
+       "stream error record: truncated \\u escape (at byte 66)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"\\u00g1\"}",
+       "stream error record: malformed \\u escape (at byte 69)"},
+      {"{\"index\":1,\"error\":true,\"category\":\"solve\",\"attempts\":1,\"what\":\"x\\",
+       "stream error record: dangling escape (at byte 66)"},
+      {"{\"index\":1,",
+       "stream error record: expected '\"' (at byte 11)"},
   };
-  for (const char* line : rejects) {
-    EXPECT_THROW(stream_error_from_jsonl(line), std::runtime_error) << line;
-  }
-  // The raw-control-character reject needs a real 0x07 byte, which a raw
-  // string literal cannot hold legibly.
-  std::string control =
-      R"({"index":1,"error":true,"category":"solve","attempts":1,"what":"x"})";
-  control[control.size() - 3] = '\x07';
-  EXPECT_THROW(stream_error_from_jsonl(control), std::runtime_error);
+  expect_rejects([](const std::string& line) { stream_error_from_jsonl(line); },
+                 rejects);
 }
 
 }  // namespace

@@ -11,8 +11,6 @@
 // edge (so infeasible verdicts are exercised too).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "common/dag_generators.hpp"
 #include "common/generators.hpp"
 #include "common/parallel.hpp"
@@ -180,17 +178,6 @@ TEST(HotpathEquivalence, LargerSpotChecks) {
   expect_identical(indep, Fraction(201, 100), PriorityPolicy::kLpt, -11);
   const Instance dag = generate_random_dag(300, 0.1, 16, {}, rng);
   expect_identical(dag, Fraction(5, 2), PriorityPolicy::kBottomLevel, -12);
-}
-
-// The env toggle routes rls_schedule() to the reference engine.
-TEST(HotpathEquivalence, EnvToggleSelectsReferenceEngine) {
-  Rng rng(9);
-  const Instance inst = generate_uniform({.n = 25, .m = 3}, rng);
-  ::setenv("STORESCHED_RLS_REFERENCE", "1", 1);
-  const RlsResult via_env = rls_schedule(inst, Fraction(5, 2));
-  ::unsetenv("STORESCHED_RLS_REFERENCE");
-  const RlsResult fast = rls_schedule(inst, Fraction(5, 2));
-  EXPECT_EQ(via_env.schedule, fast.schedule);  // engines agree anyway
 }
 
 // sbo_ingredients + sbo_combine must reproduce sbo_schedule bit-exactly.

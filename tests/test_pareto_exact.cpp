@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "common/paper_instances.hpp"
 #include "common/rng.hpp"
 #include "core/solver.hpp"
@@ -98,17 +96,6 @@ TEST(ParetoBb, MatchesReferenceOnRandomizedInstances) {
       EXPECT_EQ(objectives(inst, sched), pt.value);
     }
   }
-}
-
-TEST(ParetoBb, EnvToggleRoutesDispatcherToReference) {
-  const Instance inst = make_instance({1, 2, 4}, {1, 2, 4}, 3);
-  ASSERT_EQ(setenv("STORESCHED_PARETO_REFERENCE", "1", 1), 0);
-  // The walker's complete-assignment count (5 set partitions) is the
-  // fingerprint that the dispatcher really took the reference path.
-  EXPECT_EQ(enumerate_pareto(inst).enumerated, 5u);
-  ASSERT_EQ(setenv("STORESCHED_PARETO_REFERENCE", "0", 1), 0);
-  EXPECT_NE(enumerate_pareto(inst).enumerated, 5u);
-  ASSERT_EQ(unsetenv("STORESCHED_PARETO_REFERENCE"), 0);
 }
 
 // ---------------------------------------------------------------------------

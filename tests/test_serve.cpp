@@ -26,9 +26,13 @@
 #include "storage/result_cache.hpp"
 #include "storage/shm_store.hpp"
 #include "storage/wire_format.hpp"
+#include "test_util.hpp"
 
 namespace storesched {
 namespace {
+
+using testing::expect_rejects;
+using testing::RejectCase;
 
 // ---------------------------------------------------------------- router
 
@@ -234,24 +238,122 @@ TEST(ServeProtocol, RefRequestsRoundTripAsAFixpoint) {
   EXPECT_EQ(serve_request_to_jsonl(back), wire);
 }
 
+TEST(ServeProtocol, AcceptsJsonWhitespaceBetweenTokens) {
+  // Space, tab, CR and LF, inline instance included -- the grammar every
+  // JSONL wire shares (docs/SOLVER_SPECS.md). LineFramer never hands the
+  // server a line holding a raw LF; the parser accepts one anyway.
+  const ServeRequest req = serve_request_from_jsonl(
+      "\t{ \"id\" :\n\"a\",\r\n\"instance\" : { \"m\" : 1 ,\n"
+      "\"tasks\" : [ [ 2 , 3 ] ] } } ");
+  EXPECT_EQ(req.id, "a");
+  ASSERT_TRUE(req.is_solve());
+  EXPECT_EQ(req.instance->task(0), (Task{2, 3}));
+}
+
 TEST(ServeProtocol, RejectsMalformedRequests) {
-  const auto reject = [](const std::string& line) {
-    EXPECT_THROW(serve_request_from_jsonl(line), std::runtime_error) << line;
+  // Request-level faults say "serve request:"; faults inside an inline
+  // "instance" come from the instance reader, offsets counted from the
+  // instance's own '{'.
+  const RejectCase rejects[] = {
+      {"",
+       "serve request: expected '{' (at byte 0)"},
+      {"not json",
+       "serve request: expected '{' (at byte 0)"},
+      {"{\"instance\":{\"m\":1,\"tasks\":[[1,1]]}} trailing",
+       "serve request: trailing bytes after the request (at byte 37)"},
+      {"{\"bogus\":1}",
+       "serve request: unknown key \"bogus\" (at byte 9)"},
+      {"{\"id\":\"a\",\"id\":\"b\",\"instance\":{\"m\":1,\"tasks\":[[1,1]]}}",
+       "serve request: duplicate key \"id\" (at byte 15)"},
+      {"{\"id\":\"a\"}",
+       "serve request: request needs \"instance\", \"ref\", \"statsz\", or \"cancel\" (at byte 10)"},
+      {"{\"statsz\":true,\"spec\":\"graham:lpt\"}",
+       "serve request: \"statsz\" requests carry no solve or cancel fields (at byte 35)"},
+      {"{\"cancel\":\"x\",\"slo_ms\":5}",
+       "serve request: \"cancel\" messages carry no solve fields (at byte 25)"},
+      {"{\"slo_ms\":-1,\"instance\":{\"m\":1,\"tasks\":[[1,1]]}}",
+       "serve request: \"slo_ms\" must be non-negative (at byte 10)"},
+      {"{\"priority\":\"urgent\",\"instance\":{\"m\":1,\"tasks\":[[1,1]]}}",
+       "serve request: unknown priority \"urgent\" (at byte 20)"},
+      {"{\"slo_ms\":01,\"instance\":{\"m\":1,\"tasks\":[[1,1]]}}",
+       "serve request: leading zero in number (at byte 12)"},
+      {"{\"ref\":0,\"instance\":{\"m\":1,\"tasks\":[[1,1]]}}",
+       "serve request: \"instance\" and \"ref\" are mutually exclusive (at byte 44)"},
+      {"{\"ref\":1.5}",
+       "serve request: \"ref\" must be an integer record index (at byte 10)"},
+      {"{\"statsz\":true,\"ref\":0}",
+       "serve request: \"statsz\" requests carry no solve or cancel fields (at byte 23)"},
+      {"{\"ref\":00}",
+       "serve request: leading zero in number (at byte 9)"},
+      {"{\"quality\":0.}",
+       "serve request: digits required after the decimal point (at byte 13)"},
+      {"{\"slo_ms\":1e3,\"ref\":0}",
+       "serve request: expected '}' (at byte 11)"},
+      {"{\"slo_ms\":1000000000,\"ref\":0}",
+       "serve request: \"slo_ms\" out of range (< 1e9) (at byte 20)"},
+      {"{\"deadline_ms\":0,\"ref\":0}",
+       "serve request: \"deadline_ms\" must be > 0 (at byte 16)"},
+      {"{\"quality\":1000001,\"ref\":0}",
+       "serve request: \"quality\" must be an integer rung index <= 1000000 (at byte 18)"},
+      {"{\"spec\":\"\",\"ref\":0}",
+       "serve request: \"spec\" must not be empty (at byte 10)"},
+      {"{\"cancel\":\"\"}",
+       "serve request: \"cancel\" must name a request id (at byte 12)"},
+      {"{\"statsz\":false}",
+       "serve request: \"statsz\" must be true (at byte 10)"},
+      {"{\"x\": 1}",
+       "serve request: unknown key \"x\" (at byte 6)"},
+      {"{\"id\":\"a\", \"id\" : \"b\"}",
+       "serve request: duplicate key \"id\" (at byte 18)"},
+      {"{\"\\u0072ef\":0,\"ref\":1}",
+       "serve request: duplicate key \"ref\" (at byte 20)"},
+      {"{\"\\u0072ef\":0,\"instance\":{\"m\":1,\"tasks\":[[1,1]]}}",
+       "serve request: \"instance\" and \"ref\" are mutually exclusive (at byte 49)"},
+      {"{\"instance\":{\"m\":1,\"tasks\":[[1,x]]}}",
+       "instance_from_jsonl: expected integer at byte 19"},
+      {"{\"instance\": {\"m\":1, \"tasks\":[[1,-1]]}}",
+       "instance_from_jsonl: Instance: negative task weight"},
+      {"{\"instance\":{\"m\":0,\"tasks\":[[1,1]]}}",
+       "instance_from_jsonl: m out of range at byte 6"},
+      {"{\"instance\":{\"m\":99999999999999999999,\"tasks\":[[1,1]]}}",
+       "instance_from_jsonl: integer out of range at byte 5"},
+      {"{\"instance\":{\"tasks\":[[1,1]]}}",
+       "instance_from_jsonl: missing \"m\" at byte 17"},
+      {"{\"instance\":{\"m\":1,\"tasks\":[[1,1]],\"bogus\":1}}",
+       "instance_from_jsonl: unknown key \"bogus\" at byte 31"},
+      {"{\"instance\":{\"\\u006d\":1,\"tasks\":[[1,1]]}}",
+       "instance_from_jsonl: escapes are not allowed in keys at byte 2"},
+      {"{\"instance\":{\"m\":2,\"tasks\":[[1,1],[1,1]],\"edges\":[[0,1],[1,0]]}}",
+       "instance_from_jsonl: Instance: precedence graph has a cycle"},
+      {"{\"instance\":{\"m\":1,\"tasks\":[[1,1]]]}",
+       "instance_from_jsonl: expected '}' at byte 22"},
+      {"{\"instance\":{\"m\":1,\"tasks\":[[1,1]]}",
+       "serve request: expected '}' (at byte 35)"},
+      {"{\"instance\":{\"m\":1,\"tasks\":[[1,1]]",
+       "instance_from_jsonl: expected '}' at byte 22"},
+      {"{\"instance\":{\"m\":1,\"tasks\":[[1,1]",
+       "instance_from_jsonl: expected ']' at byte 21"},
+      {"{\"instance\":{\"m",
+       "instance_from_jsonl: unterminated key at byte 3"},
+      {"{\"instance\":5}",
+       "instance_from_jsonl: expected '{' at byte 0"},
+      {"{\"instance\":}",
+       "instance_from_jsonl: expected '{' at byte 0"},
+      {"{\"instance\":[1]}",
+       "instance_from_jsonl: expected '{' at byte 0"},
+      {"{\"id\":\"a",
+       "serve request: unterminated string (at byte 8)"},
+      {"{\"id\":\"\\u00ff\",\"ref\":0}",
+       "serve request: \\u escape outside ASCII (at byte 13)"},
+      {"{\"id\":\"a\",\n\"bogus\":0}",
+       "serve request: unknown key \"bogus\" (at byte 19)"},
+      {"{\"instance\":{\"m\":1,\"tasks\":[[1,1]],\"m\":2}}",
+       "instance_from_jsonl: duplicate key \"m\" at byte 27"},
+      {"{\"instance\":{\"m\":1,\"edges\":[],\"tasks\":[[1,1]],\"edges\":[]}}",
+       "instance_from_jsonl: duplicate key \"edges\" at byte 42"},
   };
-  reject("");
-  reject("not json");
-  reject(R"({"instance":{"m":1,"tasks":[[1,1]]}} trailing)");
-  reject(R"({"bogus":1})");
-  reject(R"({"id":"a","id":"b","instance":{"m":1,"tasks":[[1,1]]}})");
-  reject(R"({"id":"a"})");                      // solve without an instance
-  reject(R"({"statsz":true,"spec":"graham:lpt"})");  // statsz + solve field
-  reject(R"({"cancel":"x","slo_ms":5})");            // cancel + solve field
-  reject(R"({"slo_ms":-1,"instance":{"m":1,"tasks":[[1,1]]}})");
-  reject(R"({"priority":"urgent","instance":{"m":1,"tasks":[[1,1]]}})");
-  reject(R"({"slo_ms":01,"instance":{"m":1,"tasks":[[1,1]]}})");
-  reject(R"({"ref":0,"instance":{"m":1,"tasks":[[1,1]]}})");  // both sources
-  reject(R"({"ref":1.5})");                      // fractional record index
-  reject(R"({"statsz":true,"ref":0})");          // statsz + solve field
+  expect_rejects([](const std::string& line) { serve_request_from_jsonl(line); },
+                 rejects);
 }
 
 TEST(ServeProtocol, ResponseLinesCarryRoutingAndResultFields) {

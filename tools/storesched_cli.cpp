@@ -28,7 +28,9 @@
 // --on-error=abort (naming the line), or --check mismatches; 2 cancelled
 // (signal or token); 3 completed with per-record failures recorded
 // (skip/retry). Wire format details: docs/SOLVER_SPECS.md.
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -577,14 +579,25 @@ int run_solve(const CliOptions& cli, std::istream& in, std::ostream& out) {
   return exit_code_for(stats);
 }
 
-/// Scans a result JSONL line for "key":<integer>. Returns nullopt when the
-/// key is absent (e.g. cmax on an infeasible line).
+/// Scans --expect line `line_number` for "key":<integer>. Returns nullopt
+/// when the key is absent (e.g. cmax on an infeasible line); throws naming
+/// the line and the key when the value is not a 64-bit integer.
 std::optional<std::int64_t> scan_int_field(const std::string& line,
+                                           std::size_t line_number,
                                            const std::string& key) {
   const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
+  std::size_t at = line.find(needle);
   if (at == std::string::npos) return std::nullopt;
-  return std::stoll(line.substr(at + needle.size()));
+  at = line.find_first_not_of(" \t", at + needle.size());
+  std::int64_t value = 0;
+  const char* begin = line.data() + std::min(at, line.size());
+  const auto [end, ec] =
+      std::from_chars(begin, line.data() + line.size(), value);
+  if (ec != std::errc()) {
+    throw std::runtime_error("--expect line " + std::to_string(line_number) +
+                             ": \"" + key + "\" is not a 64-bit integer");
+  }
+  return value;
 }
 
 int run_check(const CliOptions& cli, std::istream& in) {
@@ -600,17 +613,20 @@ int run_check(const CliOptions& cli, std::istream& in) {
   };
   std::vector<std::optional<Expected>> expected;
   std::string line;
+  std::size_t line_number = 0;
   while (std::getline(expect, line)) {
+    ++line_number;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const std::optional<std::int64_t> index = scan_int_field(line, "index");
+    const std::optional<std::int64_t> index =
+        scan_int_field(line, line_number, "index");
     if (!index || *index < 0) {
       throw std::runtime_error("--expect line without an index: " + line);
     }
     Expected e;
     e.feasible = line.find("\"feasible\":true") != std::string::npos;
     if (e.feasible) {
-      const auto cmax = scan_int_field(line, "cmax");
-      const auto mmax = scan_int_field(line, "mmax");
+      const auto cmax = scan_int_field(line, line_number, "cmax");
+      const auto mmax = scan_int_field(line, line_number, "mmax");
       if (!cmax || !mmax) {
         throw std::runtime_error("--expect feasible line without objectives: " +
                                  line);
